@@ -386,10 +386,8 @@ class ShardedBackend(BackendBase):
     def __init__(self, spec: ServiceSpec) -> None:
         super().__init__(spec)
         # the same lattice arithmetic the engine builds at open(), so
-        # ordering keys and engine routing can never disagree; priming
-        # the router here keeps its lazy caches off concurrent paths
+        # ordering keys and engine routing can never disagree
         self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
 
     def _open(self) -> None:
         from ..service.engine import ShardedAssignmentEngine
@@ -487,7 +485,6 @@ class ClusterBackend(BackendBase):
         self._lock = threading.Lock()
         self._waiters = 0  # rendezvous in progress; guarded-by: _lock
         self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
 
     def _open(self) -> None:
         from ..cluster.coordinator import ClusterCoordinator
@@ -682,7 +679,6 @@ class MeshBackend(BackendBase):
         self.port = int(port)
         self.workers: list = []
         self._route_map = ShardMap(spec.region, *spec.shards)
-        self._route_map.shard_of((spec.region.xmin, spec.region.ymin))
 
     def _open(self) -> None:
         from ..mesh.coordinator import MeshCoordinator

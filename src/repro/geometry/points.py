@@ -8,10 +8,13 @@ so every other module can assume well-formed input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "as_point",
+    "as_xy",
     "as_points",
     "euclidean",
     "distances_to",
@@ -29,6 +32,30 @@ def as_point(p) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"point has non-finite coordinates: {arr}")
     return arr
+
+
+_REAL = (float, int, np.floating, np.integer)
+
+
+def as_xy(p) -> tuple[float, float]:
+    """Validate a single 2-D point and return it as two Python floats.
+
+    The scalar twin of :func:`as_point` for per-event paths: a pair of real
+    scalars (a tuple, list or ``(2,)`` array) converts without building an
+    array; anything else goes through :func:`as_point`, so the inputs it
+    accepts and the ``ValueError`` it raises are the same.
+    """
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        x = y = None
+    if isinstance(x, _REAL) and isinstance(y, _REAL):
+        x, y = float(x), float(y)
+    else:
+        x, y = as_point(p).tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point has non-finite coordinates: ({x}, {y})")
+    return x, y
 
 
 def as_points(points) -> np.ndarray:

@@ -479,7 +479,13 @@ class MeshCoordinator:
             peers = list(self._peers.values())
             listener = self._listener
         if listener is not None:
-            listener.close()  # acceptor's accept() raises and exits
+            # on Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the acceptor exits now
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
         for peer in peers:
             peer.shutdown()
         self._scheduler.shutdown(wait=True)

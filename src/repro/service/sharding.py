@@ -23,13 +23,12 @@ shard, reports stay ε-Geo-Indistinguishable on the shard's tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ..geometry.box import Box
 from ..geometry.grid import SnapIndex, uniform_grid
-from ..geometry.points import as_points
+from ..geometry.points import as_points, as_xy
 
 __all__ = ["ShardMap"]
 
@@ -39,7 +38,10 @@ class ShardMap:
     """Partition of a service region into an ``nx x ny`` lattice of shards.
 
     Shard ids are row-major (y outer, x inner), matching the ordering of
-    :func:`~repro.geometry.grid.uniform_grid`.
+    :func:`~repro.geometry.grid.uniform_grid`. :meth:`shard_of` routes one
+    point on Python floats because, in the online model, every arrival is
+    routed on its own, and a one-row numpy round trip costs about 20x the
+    lattice arithmetic underneath.
     """
 
     region: Box
@@ -49,19 +51,14 @@ class ShardMap:
     def __post_init__(self) -> None:
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"need at least a 1x1 shard grid, got {self.nx}x{self.ny}")
+        # built eagerly: the map is immutable and routed from many threads
+        centers = uniform_grid(self.region, self.nx, self.ny)
+        object.__setattr__(self, "centers", centers)  # (n_shards, 2) routing anchors
+        object.__setattr__(self, "_router", SnapIndex(centers))
 
     @property
     def n_shards(self) -> int:
         return self.nx * self.ny
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        """``(n_shards, 2)`` shard cell centers (the routing anchors)."""
-        return uniform_grid(self.region, self.nx, self.ny)
-
-    @cached_property
-    def _router(self) -> SnapIndex:
-        return SnapIndex(self.centers)
 
     def shard_box(self, shard_id: int) -> Box:
         """The cell of ``shard_id`` as a :class:`Box`."""
@@ -91,7 +88,11 @@ class ShardMap:
 
     def shard_of(self, location) -> int:
         """Shard id owning ``location`` (out-of-region snaps to the edge)."""
-        return int(self.shard_of_many(np.asarray(location)[None, :])[0])
+        x, y = as_xy(location)
+        r = self.region
+        return self._router.snap(
+            (min(max(x, r.xmin), r.xmax), min(max(y, r.ymin), r.ymax))
+        )
 
     def shard_of_many(self, locations) -> np.ndarray:
         """Vectorized routing: shard id per row of an ``(n, 2)`` array."""

@@ -14,6 +14,7 @@ from repro.geometry import (
     pairwise_distances,
     total_pair_distance,
 )
+from repro.geometry.points import as_xy
 
 finite_coord = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -35,6 +36,15 @@ class TestAsPoint:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             as_point((float("inf"), 0.0))
+
+
+class TestAsXy:
+    @given(finite_coord, finite_coord)
+    def test_matches_as_point(self, x, y):
+        for p in ((x, y), [x, y], np.array([x, y])):
+            xy = as_xy(p)
+            assert all(type(v) is float for v in xy)
+            assert xy == tuple(as_point(p).tolist())
 
 
 class TestAsPoints:

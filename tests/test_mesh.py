@@ -405,6 +405,28 @@ class TestCoordinatorHandshake:
             proc.join(timeout=5.0)
 
 
+class TestCoordinatorTeardown:
+    def test_close_is_prompt_after_a_peer_joined(self):
+        """Once a peer has been accepted the acceptor is blocked in
+        accept() again; close() must wake it, not wait out its join."""
+        from repro.mesh import spawn_local_worker
+
+        coordinator = MeshCoordinator(REGION, shards=(2, 2), expected_workers=1)
+        proc = spawn_local_worker(coordinator.listen(), name="teardown-worker")
+        try:
+            coordinator.start()
+            t0 = time.monotonic()
+            coordinator.close()
+            elapsed = time.monotonic() - t0
+        finally:
+            coordinator.close()
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+        assert elapsed < 1.0, f"close() took {elapsed:.2f} s"
+
+
 # --------------------------------------------------------------------- #
 # CLI                                                                    #
 # --------------------------------------------------------------------- #
