@@ -26,15 +26,14 @@ auto-skips below 4 cores):
 from __future__ import annotations
 
 import os
-import time
 
 from repro.cluster import ClusterCoordinator
-from repro.service import LoadConfig, LoadGenerator, RequestQueue
+from repro.service import LoadConfig
 
 try:  # package import under pytest, plain import as a script
-    from ._common import emit_bench
+    from ._common import bench_engine, build_stream, emit_bench
 except ImportError:
-    from _common import emit_bench
+    from _common import bench_engine, build_stream, emit_bench
 
 WORKER_COUNTS = (1, 2, 4)
 SHARDS = (2, 2)
@@ -48,36 +47,6 @@ CONFIG = LoadConfig(
     batch_size=256,
     seed=0,
 )
-
-
-def _build_stream(config: LoadConfig = CONFIG):
-    region, events, _, _ = LoadGenerator(config).build_events()
-    return region, events
-
-
-def bench_engine(region, events, config: LoadConfig = CONFIG) -> dict:
-    """Single-process baseline on the exact same event list.
-
-    Built through the API's sharded backend (keyed seeding, same as the
-    cluster runs below) but timed on the raw engine, so the number stays
-    pure routing + matching throughput without client-layer overhead.
-    """
-    from repro.api import make_backend
-
-    backend = make_backend("sharded", LoadGenerator(config).service_spec(region))
-    backend.open()
-    engine = backend.engine
-    start = time.perf_counter()
-    engine.process(RequestQueue(events))
-    wall = time.perf_counter() - start
-    report = engine.report(wall_seconds=wall)
-    return {
-        "runtime": "engine",
-        "tasks": report.tasks_total,
-        "assigned": report.tasks_assigned,
-        "wall_seconds": wall,
-        "throughput_tasks_per_s": report.throughput_tasks_per_s,
-    }
 
 
 def bench_cluster(
@@ -111,7 +80,7 @@ def bench_cluster(
 
 
 def run_benchmark(config: LoadConfig = CONFIG) -> dict:
-    region, events = _build_stream(config)
+    region, events = build_stream(config)
     engine = bench_engine(region, events, config)
     cluster = [
         bench_cluster(region, events, n, config) for n in WORKER_COUNTS
@@ -148,7 +117,7 @@ _SMALL = LoadConfig(
 
 def test_cluster_matches_engine_task_accounting():
     """Every task gets an answer, on both runtimes, same totals."""
-    region, events = _build_stream(_SMALL)
+    region, events = build_stream(_SMALL)
     engine = bench_engine(region, events, _SMALL)
     cluster = bench_cluster(region, events, 2, _SMALL)
     assert engine["tasks"] == _SMALL.n_tasks

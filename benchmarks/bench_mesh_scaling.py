@@ -28,15 +28,14 @@ reported, not gated — socket loopback variance is too wide for CI):
 from __future__ import annotations
 
 import os
-import time
 
 from repro.mesh import MeshCoordinator, spawn_local_worker
-from repro.service import LoadConfig, LoadGenerator, RequestQueue
+from repro.service import LoadConfig
 
 try:  # package import under pytest, plain import as a script
-    from ._common import emit_bench
+    from ._common import bench_engine, build_stream, emit_bench
 except ImportError:
-    from _common import emit_bench
+    from _common import bench_engine, build_stream, emit_bench
 
 WORKER_COUNTS = (1, 2, 4)
 SHARDS = (2, 2)
@@ -50,31 +49,6 @@ CONFIG = LoadConfig(
     batch_size=256,
     seed=0,
 )
-
-
-def _build_stream(config: LoadConfig = CONFIG):
-    region, events, _, _ = LoadGenerator(config).build_events()
-    return region, events
-
-
-def bench_engine(region, events, config: LoadConfig = CONFIG) -> dict:
-    """Single-process baseline on the exact same event list."""
-    from repro.api import make_backend
-
-    backend = make_backend("sharded", LoadGenerator(config).service_spec(region))
-    backend.open()
-    engine = backend.engine
-    start = time.perf_counter()
-    engine.process(RequestQueue(events))
-    wall = time.perf_counter() - start
-    report = engine.report(wall_seconds=wall)
-    return {
-        "runtime": "engine",
-        "tasks": report.tasks_total,
-        "assigned": report.tasks_assigned,
-        "wall_seconds": wall,
-        "throughput_tasks_per_s": report.throughput_tasks_per_s,
-    }
 
 
 def bench_mesh(
@@ -118,7 +92,7 @@ def bench_mesh(
 
 
 def run_benchmark(config: LoadConfig = CONFIG) -> dict:
-    region, events = _build_stream(config)
+    region, events = build_stream(config)
     engine = bench_engine(region, events, config)
     mesh = [bench_mesh(region, events, n, config) for n in WORKER_COUNTS]
     return {
@@ -153,7 +127,7 @@ _SMALL = LoadConfig(
 
 def test_mesh_matches_engine_task_accounting():
     """Every task gets an answer, on both runtimes, same totals."""
-    region, events = _build_stream(_SMALL)
+    region, events = build_stream(_SMALL)
     engine = bench_engine(region, events, _SMALL)
     mesh = bench_mesh(region, events, 2, _SMALL)
     assert engine["tasks"] == _SMALL.n_tasks

@@ -1,4 +1,4 @@
-"""The ``bin1`` binary payload codec: struct-packed api frames.
+"""The ``bin1`` binary payload codec: struct-packed per-event frames.
 
 JSON text is the gateway's v1 baseline, and it taxes every frame twice:
 ``json.dumps`` walks the document on the way out, ``json.loads``
@@ -8,27 +8,29 @@ the handshake, the document shapes and the error taxonomy are all
 unchanged — with a tagged binary layout:
 
 ```
-payload := magic u8 (0xB1) | layout-version u8 (0x01) | tag u8 | body
+payload := magic u8 (0xB1) | layout-version u8 (0x02) | tag u8 | body
 ```
 
-Per-kind *fast tags* struct-pack the hot api messages (register/submit
-are one ``>qddd`` each; a batch is a count plus length-prefixed
-recursively-encoded items). Everything that doesn't match a fast tag's
-exact shape — reports, traced envelopes, mesh ops, foreign versions,
-big ints, int-typed floats — is carried by :data:`GENERIC_TAG` as
-embedded JSON of the whole document. That fallback is what makes the
+Only the four per-event messages are struct-packed: ``register_worker``
+and ``submit_task`` (one ``>qddd`` each), ``worker_registered`` and
+``task_decision``, either as one frame per message or as a columnar
+stream window (one fixed-width row per enveloped event). Every other
+document — flushes, reports, errors, traced envelopes, mesh ops and
+their checkpoint snapshots, big ints, int-typed floats — is carried by
+:data:`GENERIC_TAG` as embedded JSON. That fallback is what makes the
 encoder *total* (any dict that json can carry, bin1 can carry) and what
-guarantees decode fidelity: a fast tag is only used when re-expanding
-it reproduces the document a JSON peer would have produced, value types
-included, so the negotiated codec can never change what a backend sees.
+guarantees decode fidelity: a per-event tag is only used when
+re-expanding it reproduces the document a JSON peer would have
+produced, value types included, so the negotiated codec can never
+change what a backend sees.
 
 Decoding is zero-copy: the caller may hand in the ``memoryview`` slice
 straight out of the receive buffer; fields are unpacked in place and
 strings decoded directly from the view. Every malformed input — bad
 magic, foreign layout version, junk tag, truncation at any boundary,
-lying inner lengths, trailing garbage — raises a structured
-:mod:`repro.api.errors` code, never a bare ``struct.error``; the fuzz
-suite drives this promise the same way it drives the JSON path.
+lying row counts, nonzero padding, trailing garbage — raises a
+structured :mod:`repro.api.errors` code, never a bare ``struct.error``;
+the fuzz suite drives this promise the same way it drives the JSON path.
 
 Tag numbers and codec names are owned by :mod:`repro.gateway.protocol`
 (lint rule RL403); this module holds only the encode/decode machinery.
@@ -51,20 +53,12 @@ from ..api.messages import (
     SubmitTask,
     TaskDecision,
     WorkerRegistered,
+    to_wire,
 )
 from .protocol import (
-    BATCH_RESULT_TAG,
-    BATCH_TAG,
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
-    ENVELOPE_RESULT_TAG,
-    ENVELOPE_TAG,
-    ERROR_TAG,
-    FLUSH_TAG,
-    FLUSHED_TAG,
     GENERIC_TAG,
-    GET_REPORT_TAG,
-    PACKED_DOC_TAG,
     REGISTER_WORKER_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
@@ -76,7 +70,6 @@ from .protocol import (
 __all__ = [
     "encode_bin1",
     "decode_bin1",
-    "encode_packed",
     "encode_stream_batch",
     "decode_stream_batch",
     "encode_stream_result",
@@ -85,11 +78,9 @@ __all__ = [
 
 _PREFIX = struct.Struct(">BBB")  # magic, layout version, tag
 _EVENT = struct.Struct(">qddd")  # id, x, y, time
-_F64 = struct.Struct(">d")
 _I64 = struct.Struct(">q")
 _DECISION = struct.Struct(">qBq")  # task_id, has-worker flag, worker_id
 _U32 = struct.Struct(">I")
-_SEQ = struct.Struct(">q")
 
 # columnar stream rows (see STREAM_BATCH_TAG / STREAM_RESULT_TAG):
 # fixed width, no per-item nesting — the whole window is one pack loop
@@ -99,18 +90,10 @@ _RESULT_ROW = struct.Struct(">Bqqq")  # kind, seq, id, worker (or 0)
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
-#: Deepest legal tag nesting: batch > envelope > verb is depth 3; junk
-#: that nests deeper than 8 is an attack on the decoder's stack.
-_MAX_DEPTH = 8
-
 
 def _is_i64(v) -> bool:
     # bool is an int subclass but json spells it true/false, not 0/1
     return type(v) is int and _I64_MIN <= v <= _I64_MAX
-
-
-def _is_f64(v) -> bool:
-    return type(v) is float
 
 
 def _is_point(v) -> bool:
@@ -122,122 +105,49 @@ def _is_point(v) -> bool:
     )
 
 
+def _prefix(tag: int) -> bytes:
+    return _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
+
+
 # --------------------------------------------------------------------- #
 # encode                                                                 #
 # --------------------------------------------------------------------- #
 
 
-def _encode_nested(item, out: bytearray, depth: int) -> bool:
-    """Append ``u32 length | bin1 payload`` of one nested document."""
-    if not isinstance(item, dict):
-        return False
-    mark = len(out)
-    out += b"\x00\x00\x00\x00"
-    _encode_into(item, out, depth)
-    _U32.pack_into(out, mark, len(out) - mark - _U32.size)
-    return True
-
-
-def _try_fast(doc: dict, out: bytearray, depth: int) -> bool:
-    """Append the fast-tag encoding of ``doc``; False -> caller falls
-    back to GENERIC. Appends nothing unless the whole doc matches."""
-    if depth > _MAX_DEPTH:
-        return False
+def _encode_event(doc: dict) -> bytes | None:
+    """The per-event tag encoding of ``doc``, or ``None`` when it is not
+    exactly one of the four per-event shapes (-> GENERIC)."""
     if len(doc) != 4 or doc.get("schema") != WIRE_SCHEMA:
-        return False
+        return None
     if doc.get("version") != WIRE_VERSION:
-        return False
+        return None
     kind = doc.get("kind")
     body = doc.get("body")
     if type(body) is not dict:
-        return False
-    mark = len(out)
+        return None
     if kind in ("register_worker", "submit_task"):
         key = "worker_id" if kind == "register_worker" else "task_id"
         if len(body) != 3:
-            return False
+            return None
         ident, loc, when = body.get(key), body.get("location"), body.get("time")
-        if not (_is_i64(ident) and _is_point(loc) and _is_f64(when)):
-            return False
+        if not (_is_i64(ident) and _is_point(loc) and type(when) is float):
+            return None
         tag = REGISTER_WORKER_TAG if kind == "register_worker" else SUBMIT_TASK_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _EVENT.pack(ident, loc[0], loc[1], when)
-        return True
-    if kind == "flush" or kind == "flushed":
-        if body:
-            return False
-        tag = FLUSH_TAG if kind == "flush" else FLUSHED_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        return True
-    if kind == "get_report":
-        if len(body) != 1 or not _is_f64(body.get("wall_seconds")):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GET_REPORT_TAG)
-        out += _F64.pack(body["wall_seconds"])
-        return True
+        return _prefix(tag) + _EVENT.pack(ident, loc[0], loc[1], when)
     if kind == "worker_registered":
         if len(body) != 1 or not _is_i64(body.get("worker_id")):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, WORKER_REGISTERED_TAG)
-        out += _I64.pack(body["worker_id"])
-        return True
+            return None
+        return _prefix(WORKER_REGISTERED_TAG) + _I64.pack(body["worker_id"])
     if kind == "task_decision":
         if len(body) != 2 or not _is_i64(body.get("task_id")):
-            return False
+            return None
         worker = body.get("worker_id")
         if worker is not None and not _is_i64(worker):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, TASK_DECISION_TAG)
-        out += _DECISION.pack(
+            return None
+        return _prefix(TASK_DECISION_TAG) + _DECISION.pack(
             body["task_id"], 0 if worker is None else 1, worker or 0
         )
-        return True
-    if kind in ("envelope", "envelope_result"):
-        if len(body) != 2 or not _is_i64(body.get("seq")):
-            return False
-        tag = ENVELOPE_TAG if kind == "envelope" else ENVELOPE_RESULT_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _SEQ.pack(body["seq"])
-        if not _encode_nested(body.get("item"), out, depth + 1):
-            del out[mark:]
-            return False
-        return True
-    if kind in ("batch", "batch_result"):
-        items = body.get("items")
-        if len(body) != 1 or type(items) is not list:
-            return False
-        tag = BATCH_TAG if kind == "batch" else BATCH_RESULT_TAG
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, tag)
-        out += _U32.pack(len(items))
-        for item in items:
-            if not _encode_nested(item, out, depth + 1):
-                del out[mark:]
-                return False
-        return True
-    if kind == "error":
-        if len(body) != 4 or type(body.get("retryable")) is not bool:
-            return False
-        code, message, detail = (
-            body.get("code"),
-            body.get("message"),
-            body.get("detail"),
-        )
-        if not all(type(s) is str for s in (code, message, detail)):
-            return False
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, ERROR_TAG)
-        for s in (code, message, detail):
-            raw = s.encode("utf-8")
-            out += _U32.pack(len(raw))
-            out += raw
-        out += b"\x01" if body["retryable"] else b"\x00"
-        return True
-    return False
-
-
-def _encode_into(doc: dict, out: bytearray, depth: int) -> None:
-    if not _try_fast(doc, out, depth):
-        out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, GENERIC_TAG)
-        out += json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return None
 
 
 def encode_bin1(doc: dict) -> bytes:
@@ -246,9 +156,12 @@ def encode_bin1(doc: dict) -> bytes:
         raise ValidationFailed(
             f"frame document must be an object, got {type(doc).__name__}"
         )
-    out = bytearray()
-    _encode_into(doc, out, 1)
-    return bytes(out)
+    payload = _encode_event(doc)
+    if payload is None:
+        payload = _prefix(GENERIC_TAG) + json.dumps(
+            doc, separators=(",", ":")
+        ).encode("utf-8")
+    return payload
 
 
 # --------------------------------------------------------------------- #
@@ -280,16 +193,6 @@ class _Reader:
     def unpack(self, st: struct.Struct):
         return st.unpack_from(self.view, self.need(st.size))
 
-    def take_str(self) -> str:
-        (n,) = self.unpack(_U32)
-        start = self.need(n)
-        try:
-            return str(self.view[start : start + n], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationFailed(
-                f"bin1 string field is not valid UTF-8: {exc}"
-            ) from exc
-
     def done(self) -> None:
         if self.pos != self.end:
             raise ValidationFailed(
@@ -298,29 +201,10 @@ class _Reader:
             )
 
 
-def _doc(kind: str, body: dict) -> dict:
-    return {
-        "schema": WIRE_SCHEMA,
-        "version": WIRE_VERSION,
-        "kind": kind,
-        "body": body,
-    }
-
-
-def _decode_nested(r: _Reader, depth: int) -> dict:
-    (n,) = r.unpack(_U32)
-    start = r.need(n)
-    inner = _Reader(r.view, start, start + n)
-    doc = _decode_at(inner, depth)
-    inner.done()
-    return doc
-
-
-def _decode_at(r: _Reader, depth: int) -> dict:
-    if depth > _MAX_DEPTH:
-        raise ValidationFailed(
-            f"bin1 payload nests deeper than {_MAX_DEPTH} levels"
-        )
+def _open(payload) -> tuple[_Reader, int]:
+    """Validate the bin1 prefix; a cursor after it, and the frame tag."""
+    view = payload if isinstance(payload, memoryview) else memoryview(payload)
+    r = _Reader(view, 0, len(view))
     magic, version, tag = r.unpack(_PREFIX)
     if magic != BIN1_MAGIC:
         raise ValidationFailed(
@@ -332,6 +216,69 @@ def _decode_at(r: _Reader, depth: int) -> dict:
             f"bin1 layout version {version}, this peer speaks "
             f"{BIN1_WIRE_VERSION}"
         )
+    return r, tag
+
+
+def _doc(kind: str, body: dict) -> dict:
+    return {
+        "schema": WIRE_SCHEMA,
+        "version": WIRE_VERSION,
+        "kind": kind,
+        "body": body,
+    }
+
+
+def _check_worker_pad(what: str, worker: int) -> None:
+    if worker != 0:
+        # one canonical byte string per document: the unused worker
+        # slot must be zero, anything else is damage
+        raise ValidationFailed(
+            f"bin1 {what} carries a nonzero worker field {worker}"
+        )
+
+
+def _batch_rows(r: _Reader) -> Batch:
+    (count,) = r.unpack(_U32)
+    start = r.need(count * _STREAM_ROW.size)
+    items = []
+    append = items.append
+    for k, seq, ident, x, y, when in _STREAM_ROW.iter_unpack(
+        r.view[start : r.pos]
+    ):
+        if k == 0:
+            item = RegisterWorker(ident, (x, y), when)
+        elif k == 1:
+            item = SubmitTask(ident, (x, y), when)
+        else:
+            raise ValidationFailed(
+                f"bin1 stream row kind must be 0 or 1, got {k}"
+            )
+        append(StreamEnvelope(seq, item))
+    return Batch(items)
+
+
+def _result_rows(r: _Reader) -> BatchResult:
+    (count,) = r.unpack(_U32)
+    start = r.need(count * _RESULT_ROW.size)
+    items = []
+    append = items.append
+    for k, seq, ident, worker in _RESULT_ROW.iter_unpack(
+        r.view[start : r.pos]
+    ):
+        if k == 1:
+            item = TaskDecision(ident, worker)
+        elif k == 0 or k == 2:
+            _check_worker_pad(f"result row kind {k}", worker)
+            item = WorkerRegistered(ident) if k == 0 else TaskDecision(ident, None)
+        else:
+            raise ValidationFailed(
+                f"bin1 result row kind must be 0, 1 or 2, got {k}"
+            )
+        append(StreamItemResult(seq, item))
+    return BatchResult(items)
+
+
+def _decode_body(r: _Reader, tag: int) -> dict:
     if tag == GENERIC_TAG:
         start = r.pos
         r.pos = r.end
@@ -353,19 +300,14 @@ def _decode_at(r: _Reader, depth: int) -> dict:
         kind = "register_worker" if tag == REGISTER_WORKER_TAG else "submit_task"
         key = "worker_id" if tag == REGISTER_WORKER_TAG else "task_id"
         return _doc(kind, {key: ident, "location": [x, y], "time": when})
-    if tag == FLUSH_TAG:
-        return _doc("flush", {})
-    if tag == FLUSHED_TAG:
-        return _doc("flushed", {})
-    if tag == GET_REPORT_TAG:
-        (wall,) = r.unpack(_F64)
-        return _doc("get_report", {"wall_seconds": wall})
     if tag == WORKER_REGISTERED_TAG:
         (ident,) = r.unpack(_I64)
         return _doc("worker_registered", {"worker_id": ident})
     if tag == TASK_DECISION_TAG:
         task, has_worker, worker = r.unpack(_DECISION)
-        if has_worker not in (0, 1):
+        if has_worker == 0:
+            _check_worker_pad("unassigned task_decision", worker)
+        elif has_worker != 1:
             raise ValidationFailed(
                 f"bin1 task_decision has-worker flag must be 0 or 1, "
                 f"got {has_worker}"
@@ -374,111 +316,20 @@ def _decode_at(r: _Reader, depth: int) -> dict:
             "task_decision",
             {"task_id": task, "worker_id": worker if has_worker else None},
         )
-    if tag in (ENVELOPE_TAG, ENVELOPE_RESULT_TAG):
-        (seq,) = r.unpack(_SEQ)
-        item = _decode_nested(r, depth + 1)
-        kind = "envelope" if tag == ENVELOPE_TAG else "envelope_result"
-        return _doc(kind, {"seq": seq, "item": item})
+    # stream windows reach here only from a peer sniffing frames (the
+    # gateway takes them on the object path); same rows, same document
+    # a JSON peer would have received
     if tag == STREAM_BATCH_TAG:
-        (count,) = r.unpack(_U32)
-        start = r.need(count * _STREAM_ROW.size)
-        items = []
-        for k, seq, ident, x, y, when in _STREAM_ROW.iter_unpack(
-            r.view[start : r.pos]
-        ):
-            if k == 0:
-                item = _doc(
-                    "register_worker",
-                    {"worker_id": ident, "location": [x, y], "time": when},
-                )
-            elif k == 1:
-                item = _doc(
-                    "submit_task",
-                    {"task_id": ident, "location": [x, y], "time": when},
-                )
-            else:
-                raise ValidationFailed(
-                    f"bin1 stream row kind must be 0 or 1, got {k}"
-                )
-            items.append(_doc("envelope", {"seq": seq, "item": item}))
-        return _doc("batch", {"items": items})
+        return to_wire(_batch_rows(r))
     if tag == STREAM_RESULT_TAG:
-        (count,) = r.unpack(_U32)
-        start = r.need(count * _RESULT_ROW.size)
-        items = []
-        for k, seq, ident, worker in _RESULT_ROW.iter_unpack(
-            r.view[start : r.pos]
-        ):
-            if k == 0:
-                item = _doc("worker_registered", {"worker_id": ident})
-            elif k == 1:
-                item = _doc(
-                    "task_decision", {"task_id": ident, "worker_id": worker}
-                )
-            elif k == 2:
-                item = _doc(
-                    "task_decision", {"task_id": ident, "worker_id": None}
-                )
-            else:
-                raise ValidationFailed(
-                    f"bin1 result row kind must be 0, 1 or 2, got {k}"
-                )
-            if k != 1 and worker != 0:
-                # one canonical byte string per document: the unused
-                # worker slot must be zero, anything else is damage
-                raise ValidationFailed(
-                    f"bin1 result row kind {k} carries a nonzero worker "
-                    f"field {worker}"
-                )
-            items.append(_doc("envelope_result", {"seq": seq, "item": item}))
-        return _doc("batch_result", {"items": items})
-    if tag in (BATCH_TAG, BATCH_RESULT_TAG):
-        (count,) = r.unpack(_U32)
-        if count > (r.end - r.pos):
-            # every item costs >= 1 byte; a count beyond the remaining
-            # bytes is a lying header, caught before any allocation
-            raise ValidationFailed(
-                f"bin1 batch count {count} exceeds the {r.end - r.pos} "
-                f"payload bytes that remain"
-            )
-        items = [_decode_nested(r, depth + 1) for _ in range(count)]
-        kind = "batch" if tag == BATCH_TAG else "batch_result"
-        return _doc(kind, {"items": items})
-    if tag == PACKED_DOC_TAG:
-        doc = _unpack_value(r, 1)
-        if not isinstance(doc, dict):
-            raise ValidationFailed(
-                f"bin1 packed body must encode an object, "
-                f"got {type(doc).__name__}"
-            )
-        return doc
-    if tag == ERROR_TAG:
-        code = r.take_str()
-        message = r.take_str()
-        detail = r.take_str()
-        start = r.need(1)
-        flag = r.view[start]
-        if flag not in (0, 1):
-            raise ValidationFailed(
-                f"bin1 error retryable flag must be 0 or 1, got {flag}"
-            )
-        return _doc(
-            "error",
-            {
-                "code": code,
-                "message": message,
-                "retryable": bool(flag),
-                "detail": detail,
-            },
-        )
+        return to_wire(_result_rows(r))
     raise ValidationFailed(f"unknown bin1 frame tag {tag:#04x}")
 
 
 def decode_bin1(payload) -> dict:
     """One bin1 payload (bytes or memoryview) -> the document."""
-    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
-    r = _Reader(view, 0, len(view))
-    doc = _decode_at(r, 1)
+    r, tag = _open(payload)
+    doc = _decode_body(r, tag)
     r.done()
     return doc
 
@@ -492,25 +343,12 @@ def decode_bin1(payload) -> dict:
 # fast path packs a whole replay window of api dataclasses straight into
 # fixed-width rows (and back) without ever building the documents. Only
 # these object-level encoders *produce* STREAM_BATCH / STREAM_RESULT
-# payloads; `_decode_at` above accepts them too, so any bin1 decoder —
+# payloads; `decode_bin1` above accepts them too, so any bin1 decoder —
 # including a mixed-codec mesh peer sniffing frames — stays total.
 
 
-def _stream_reader(payload, expect_tag: int) -> _Reader:
-    """Validate the bin1 prefix of a stream payload, cursor after it."""
-    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
-    r = _Reader(view, 0, len(view))
-    magic, version, tag = r.unpack(_PREFIX)
-    if magic != BIN1_MAGIC:
-        raise ValidationFailed(
-            f"bin1 payload starts with byte {magic:#04x}, "
-            f"expected {BIN1_MAGIC:#04x}"
-        )
-    if version != BIN1_WIRE_VERSION:
-        raise UnsupportedVersion(
-            f"bin1 layout version {version}, this peer speaks "
-            f"{BIN1_WIRE_VERSION}"
-        )
+def _open_stream(payload, expect_tag: int) -> _Reader:
+    r, tag = _open(payload)
     if tag != expect_tag:
         raise ValidationFailed(
             f"expected bin1 stream tag {expect_tag:#04x}, got {tag:#04x}"
@@ -533,10 +371,7 @@ def encode_stream_batch(batch) -> bytes | None:
         return None
     pack = _STREAM_ROW.pack
     try:
-        parts = [
-            _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_BATCH_TAG),
-            _U32.pack(len(batch.items)),
-        ]
+        parts = [_prefix(STREAM_BATCH_TAG), _U32.pack(len(batch.items))]
         for env in batch.items:
             if type(env) is not StreamEnvelope:
                 return None
@@ -563,25 +398,10 @@ def decode_stream_batch(payload) -> Batch:
     all ``invalid-request``, a foreign layout version is
     ``unsupported-version``.
     """
-    r = _stream_reader(payload, STREAM_BATCH_TAG)
-    (count,) = r.unpack(_U32)
-    start = r.need(count * _STREAM_ROW.size)
-    items = []
-    append = items.append
-    for k, seq, ident, x, y, when in _STREAM_ROW.iter_unpack(
-        r.view[start : r.pos]
-    ):
-        if k == 0:
-            item = RegisterWorker(ident, (x, y), when)
-        elif k == 1:
-            item = SubmitTask(ident, (x, y), when)
-        else:
-            raise ValidationFailed(
-                f"bin1 stream row kind must be 0 or 1, got {k}"
-            )
-        append(StreamEnvelope(seq, item))
+    r = _open_stream(payload, STREAM_BATCH_TAG)
+    batch = _batch_rows(r)
     r.done()
-    return Batch(items)
+    return batch
 
 
 def encode_stream_result(result) -> bytes | None:
@@ -591,10 +411,7 @@ def encode_stream_result(result) -> bytes | None:
         return None
     pack = _RESULT_ROW.pack
     try:
-        parts = [
-            _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, STREAM_RESULT_TAG),
-            _U32.pack(len(result.items)),
-        ]
+        parts = [_prefix(STREAM_RESULT_TAG), _U32.pack(len(result.items))]
         for env in result.items:
             if type(env) is not StreamItemResult:
                 return None
@@ -617,263 +434,7 @@ def encode_stream_result(result) -> bytes | None:
 
 def decode_stream_result(payload) -> BatchResult:
     """One STREAM_RESULT payload -> the :class:`BatchResult`."""
-    r = _stream_reader(payload, STREAM_RESULT_TAG)
-    (count,) = r.unpack(_U32)
-    start = r.need(count * _RESULT_ROW.size)
-    items = []
-    append = items.append
-    for k, seq, ident, worker in _RESULT_ROW.iter_unpack(
-        r.view[start : r.pos]
-    ):
-        if k == 1:
-            item = TaskDecision(ident, worker)
-        elif k == 0 or k == 2:
-            if worker != 0:
-                # one canonical byte string per document: the unused
-                # worker slot must be zero, anything else is damage
-                raise ValidationFailed(
-                    f"bin1 result row kind {k} carries a nonzero worker "
-                    f"field {worker}"
-                )
-            item = WorkerRegistered(ident) if k == 0 else TaskDecision(ident, None)
-        else:
-            raise ValidationFailed(
-                f"bin1 result row kind must be 0, 1 or 2, got {k}"
-            )
-        append(StreamItemResult(seq, item))
+    r = _open_stream(payload, STREAM_RESULT_TAG)
+    result = _result_rows(r)
     r.done()
-    return BatchResult(items)
-
-
-# --------------------------------------------------------------------- #
-# packed documents                                                       #
-# --------------------------------------------------------------------- #
-#
-# PACKED_DOC_TAG carries one whole document as a self-describing value
-# tree instead of GENERIC_TAG's embedded JSON text. Same data model as
-# JSON — null/bool/int/float/str/list/object, nothing more — so the
-# decoded document is exactly what a json.loads round trip would have
-# produced and the codec stays invisible to backends. The layout wins
-# where JSON loses: full-precision floats travel as 8 raw bytes instead
-# of ~18 decimal chars (and a homogeneous float list as one contiguous
-# block), ints as zigzag varints, lengths as varints. Floats whose
-# shortest repr is already short (0.5, 2.0 — ledger epsilons) keep the
-# text form so the binary layout never pays for what JSON got free.
-# Checkpoint snapshots — reservoir samples, obfuscated locations,
-# ledger balances — are mostly full-precision floats, which is why the
-# mesh asks for this layout on its snapshot/load frames.
-
-_MAX_VALUE_DEPTH = 64  # value trees (HSTs nest by tree depth) vs doc tags
-
-_P_NULL = 0x00
-_P_FALSE = 0x01
-_P_TRUE = 0x02
-_P_INT = 0x03  # zigzag LEB128, i64 range
-_P_BIGINT = 0x04  # varint length + decimal text (RNG states are u128s)
-_P_F64 = 0x05  # 8 raw big-endian bytes
-_P_STR = 0x06  # varint length + utf-8
-_P_LIST = 0x07
-_P_DICT = 0x08
-_P_F64S = 0x09  # homogeneous float list: one contiguous f64 block
-_P_FSHORT = 0x0A  # u8 length + shortest-repr text (short decimals)
-
-#: repr() lengths up to this travel as text; beyond it raw f64 is
-#: smaller. float(repr(v)) == v exactly (shortest-repr guarantee), so
-#: the two float forms decode to the same value and only size differs.
-_FSHORT_MAX = 8
-
-
-def _pack_varint(n: int, out: bytearray) -> None:
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _pack_value(v, out: bytearray, depth: int) -> bool:
-    """Append one packed value; False -> the document doesn't fit the
-    JSON data model (the caller falls back to another layout)."""
-    if depth > _MAX_VALUE_DEPTH:
-        return False
-    if v is None:
-        out.append(_P_NULL)
-        return True
-    t = type(v)
-    if t is bool:
-        out.append(_P_TRUE if v else _P_FALSE)
-        return True
-    if t is int:
-        if _I64_MIN <= v <= _I64_MAX:
-            out.append(_P_INT)
-            _pack_varint((v << 1) ^ (v >> 63), out)
-        else:
-            raw = str(v).encode("ascii")
-            out.append(_P_BIGINT)
-            _pack_varint(len(raw), out)
-            out += raw
-        return True
-    if t is float:
-        raw = repr(v)
-        if len(raw) <= _FSHORT_MAX:
-            out.append(_P_FSHORT)
-            out.append(len(raw))
-            out += raw.encode("ascii")
-        else:
-            out.append(_P_F64)
-            out += _F64.pack(v)
-        return True
-    if t is str:
-        raw = v.encode("utf-8")
-        out.append(_P_STR)
-        _pack_varint(len(raw), out)
-        out += raw
-        return True
-    if t is list or t is tuple:  # json widens tuples to arrays
-        if len(v) >= 4 and all(type(x) is float for x in v):
-            # one contiguous block iff it beats per-element encoding
-            # (min(...) is each element's FSHORT-or-F64 cost)
-            per_elem = sum(min(9, 2 + len(repr(x))) for x in v)
-            if _F64.size * len(v) <= per_elem:
-                out.append(_P_F64S)
-                _pack_varint(len(v), out)
-                out += struct.pack(f">{len(v)}d", *v)
-                return True
-        out.append(_P_LIST)
-        _pack_varint(len(v), out)
-        return all(_pack_value(x, out, depth + 1) for x in v)
-    if t is dict:
-        out.append(_P_DICT)
-        _pack_varint(len(v), out)
-        for key, val in v.items():
-            # json coerces non-str keys to text; don't replicate that
-            # lossy rule here, let the GENERIC fallback own it
-            if type(key) is not str:
-                return False
-            raw = key.encode("utf-8")
-            _pack_varint(len(raw), out)
-            out += raw
-            if not _pack_value(val, out, depth + 1):
-                return False
-        return True
-    return False
-
-
-def encode_packed(doc) -> bytes | None:
-    """One document -> a PACKED_DOC_TAG payload, or ``None`` when any
-    value falls outside the JSON data model (caller picks another
-    layout — this encoder never raises on shape)."""
-    if not isinstance(doc, dict):
-        return None
-    out = bytearray()
-    out += _PREFIX.pack(BIN1_MAGIC, BIN1_WIRE_VERSION, PACKED_DOC_TAG)
-    if not _pack_value(doc, out, 1):
-        return None
-    return bytes(out)
-
-
-def _unpack_varint(r: _Reader) -> int:
-    shift = 0
-    n = 0
-    view = r.view
-    while True:
-        start = r.need(1)
-        b = view[start]
-        n |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return n
-        shift += 7
-        if shift > 70:
-            raise ValidationFailed(
-                "bin1 packed varint runs past 10 bytes"
-            )
-
-
-def _take_pstr(r: _Reader) -> str:
-    n = _unpack_varint(r)
-    if n > r.end - r.pos:
-        raise ValidationFailed(
-            f"bin1 packed string length {n} exceeds the "
-            f"{r.end - r.pos} payload bytes that remain"
-        )
-    start = r.need(n)
-    try:
-        return str(r.view[start : start + n], "utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationFailed(
-            f"bin1 string field is not valid UTF-8: {exc}"
-        ) from exc
-
-
-def _unpack_value(r: _Reader, depth: int):
-    if depth > _MAX_VALUE_DEPTH:
-        raise ValidationFailed(
-            f"bin1 packed value nests deeper than {_MAX_VALUE_DEPTH} levels"
-        )
-    start = r.need(1)
-    t = r.view[start]
-    if t == _P_NULL:
-        return None
-    if t == _P_FALSE:
-        return False
-    if t == _P_TRUE:
-        return True
-    if t == _P_INT:
-        z = _unpack_varint(r)
-        return (z >> 1) ^ -(z & 1)
-    if t == _P_BIGINT:
-        raw = _take_pstr(r)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationFailed(
-                f"bin1 packed bigint is not decimal text: {raw[:40]!r}"
-            ) from exc
-    if t == _P_F64:
-        (v,) = r.unpack(_F64)
-        return v
-    if t == _P_FSHORT:
-        start = r.need(1)
-        n = r.view[start]
-        start = r.need(n)
-        try:
-            return float(str(r.view[start : start + n], "ascii"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ValidationFailed(
-                f"bin1 packed short float is not decimal text: {exc}"
-            ) from exc
-    if t == _P_STR:
-        return _take_pstr(r)
-    if t == _P_F64S:
-        count = _unpack_varint(r)
-        if count > (r.end - r.pos) // _F64.size:
-            raise ValidationFailed(
-                f"bin1 packed float-array count {count} exceeds the "
-                f"{r.end - r.pos} payload bytes that remain"
-            )
-        start = r.need(count * _F64.size)
-        return list(struct.unpack_from(f">{count}d", r.view, start))
-    if t == _P_LIST:
-        count = _unpack_varint(r)
-        if count > (r.end - r.pos):
-            raise ValidationFailed(
-                f"bin1 packed list count {count} exceeds the "
-                f"{r.end - r.pos} payload bytes that remain"
-            )
-        return [_unpack_value(r, depth + 1) for _ in range(count)]
-    if t == _P_DICT:
-        count = _unpack_varint(r)
-        if count > (r.end - r.pos):
-            raise ValidationFailed(
-                f"bin1 packed object count {count} exceeds the "
-                f"{r.end - r.pos} payload bytes that remain"
-            )
-        obj = {}
-        for _ in range(count):
-            key = _take_pstr(r)
-            obj[key] = _unpack_value(r, depth + 1)
-        return obj
-    raise ValidationFailed(f"unknown bin1 packed value type {t:#04x}")
+    return result

@@ -17,8 +17,10 @@ frames:
   the error envelope *is* the existing structured error taxonomy.
 
 Frame *payloads* come in two codecs. ``json`` is the v1 baseline: UTF-8
-JSON text, spoken by every peer. ``bin1`` is a struct-packed binary
-form (see :mod:`repro.gateway.codec`) negotiated via the handshake
+JSON text, spoken by every peer. ``bin1`` struct-packs the four
+per-event messages (register/submit and their answers, singly or as
+columnar stream windows) and carries every other document as embedded
+JSON (see :mod:`repro.gateway.codec`); it is negotiated via the handshake
 feature list as ``codec:bin1`` — a session's codec is decided by the
 welcome and never switches mid-stream; hello/welcome themselves are
 always JSON because they travel before the decision. The two codecs are
@@ -59,19 +61,10 @@ __all__ = [
     "GENERIC_TAG",
     "REGISTER_WORKER_TAG",
     "SUBMIT_TASK_TAG",
-    "FLUSH_TAG",
-    "GET_REPORT_TAG",
-    "BATCH_TAG",
-    "ENVELOPE_TAG",
     "STREAM_BATCH_TAG",
     "STREAM_RESULT_TAG",
-    "PACKED_DOC_TAG",
     "WORKER_REGISTERED_TAG",
     "TASK_DECISION_TAG",
-    "FLUSHED_TAG",
-    "BATCH_RESULT_TAG",
-    "ENVELOPE_RESULT_TAG",
-    "ERROR_TAG",
     "codec_feature",
     "offered_codecs",
     "negotiate_codec",
@@ -142,21 +135,20 @@ BIN1_CODEC = "bin1"
 #: sniffable from one byte, which keeps mixed-codec meshes decodable.
 BIN1_MAGIC = 0xB1
 
-#: bin1 layout version (second payload byte). Bumped only for
-#: incompatible layout changes; a new layout is a new codec name.
-BIN1_WIRE_VERSION = 1
+#: bin1 layout version (second payload byte). Bumped for incompatible
+#: layout changes, so a peer on an old layout fails its first frame with
+#: ``unsupported-version`` instead of misreading tags.
+BIN1_WIRE_VERSION = 2
 
 #: bin1 frame tags (third payload byte): which body layout follows.
 #: ``GENERIC_TAG`` wraps the whole document as embedded JSON — the
 #: total fallback that keeps bin1 sessions able to carry any document
-#: (reports, traced envelopes, mesh ops) without a json downgrade.
+#: (flushes, reports, errors, traced envelopes, mesh ops and their
+#: snapshots) without a json downgrade. The other tags struct-pack the
+#: four per-event messages, one per frame.
 GENERIC_TAG = 0x00
 REGISTER_WORKER_TAG = 0x01
 SUBMIT_TASK_TAG = 0x02
-FLUSH_TAG = 0x03
-GET_REPORT_TAG = 0x04
-BATCH_TAG = 0x05
-ENVELOPE_TAG = 0x06
 #: Columnar stream window: a batch whose items are all envelopes
 #: wrapping register/submit events, packed as fixed-width rows (one
 #: struct row per event, no per-item nesting). Produced only by the
@@ -165,22 +157,10 @@ ENVELOPE_TAG = 0x06
 STREAM_BATCH_TAG = 0x07
 WORKER_REGISTERED_TAG = 0x11
 TASK_DECISION_TAG = 0x12
-FLUSHED_TAG = 0x13
-BATCH_RESULT_TAG = 0x15
-ENVELOPE_RESULT_TAG = 0x16
-ERROR_TAG = 0x17
 #: Columnar mirror of :data:`STREAM_BATCH_TAG` for the response
 #: direction: a batch_result of envelope_results wrapping
 #: worker_registered / task_decision rows.
 STREAM_RESULT_TAG = 0x18
-#: Whole document as a self-describing packed value tree (varint ints,
-#: raw f64s, homogeneous f64 arrays) instead of embedded JSON text.
-#: Carries exactly the JSON data model, so it is a drop-in replacement
-#: for :data:`GENERIC_TAG` on big numeric documents — checkpoint
-#: snapshots and delta chains — where decimal text dominates the frame.
-#: Produced only on request (``encode_frame(..., packed=True)``); every
-#: bin1 decoder accepts it.
-PACKED_DOC_TAG = 0x19
 
 #: Frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
@@ -209,28 +189,20 @@ def encode_frame(
     *,
     max_frame_bytes: int = MAX_FRAME_BYTES,
     codec: str = JSON_CODEC,
-    packed: bool = False,
 ) -> bytes:
     """Serialize one document to a length-prefixed frame.
 
     ``codec`` is the *session's* negotiated codec; handshake frames are
-    sent before negotiation and always travel as json. ``packed`` asks a
-    bin1 session to try the :data:`PACKED_DOC_TAG` value-tree layout
-    first — the win for numeric-heavy documents like checkpoint
-    snapshots — falling back to the ordinary encoding when the document
-    does not fit the JSON data model exactly (and doing nothing at all
-    on json sessions, where the request is meaningless). The outbound
+    sent before negotiation and always travel as json. The outbound
     frame ceiling is enforced here exactly like the inbound one
     (:func:`check_frame_length`), so an oversize response surfaces as a
     structured :class:`~repro.api.errors.ValidationFailed` the caller
     can answer with — never as a silently-violated protocol invariant.
     """
     if codec == BIN1_CODEC:
-        from .codec import encode_bin1, encode_packed
+        from .codec import encode_bin1
 
-        payload = encode_packed(doc) if packed else None
-        if payload is None:
-            payload = encode_bin1(doc)
+        payload = encode_bin1(doc)
     elif codec == JSON_CODEC:
         payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     else:

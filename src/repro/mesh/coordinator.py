@@ -199,12 +199,8 @@ class MeshPeer:
     # calls                                                               #
     # ------------------------------------------------------------------ #
 
-    def call(self, op: str, body: dict, *, packed: bool = False) -> dict:
-        """Send one op, block for its reply; the reply body on success.
-
-        ``packed`` asks a bin1 session for the PACKED_DOC_TAG layout —
-        used for snapshot-carrying ops, where the body is mostly floats.
-        """
+    def call(self, op: str, body: dict) -> dict:
+        """Send one op, block for its reply; the reply body on success."""
         with self._lock:
             if self.dead:
                 raise PeerLost(self.name)
@@ -216,9 +212,7 @@ class MeshPeer:
             self.outstanding += 1
             self.depth.record(float(self.outstanding))
         try:
-            frame = encode_frame(
-                op_doc(op, seq, body), codec=self.codec, packed=packed
-            )
+            frame = encode_frame(op_doc(op, seq, body), codec=self.codec)
             try:
                 with self._wlock:
                     self.sock.sendall(frame)
@@ -836,9 +830,7 @@ class MeshCoordinator:
             ]
         for key, chain in plan:
             if chain is not None:
-                peer.call(
-                    "load", {"key": key, "snapshots": chain}, packed=True
-                )
+                peer.call("load", {"key": key, "snapshots": chain})
             else:
                 peer.call("create", {"key": key, "spec": self._specs[key]})
         with self._state:
@@ -896,8 +888,9 @@ class MeshCoordinator:
                 reqs[key] = {"mode": "base", "checkpoint": self._ckpt_seq}
         return reqs
 
-    def _absorb_snapshot(self, key: str, doc: dict) -> None:  # guarded-by: _state
-        """Chain one barrier reply; the caller holds ``_state``.
+    def _absorb_snapshot(self, key: str, doc: dict, size: float) -> None:  # guarded-by: _state
+        """Chain one barrier reply of ``size`` JSON bytes; the caller
+        holds ``_state``.
 
         A delta appends to the chain (its parent must equal the tip — a
         mismatch means lineage diverged and restoring would be silently
@@ -905,7 +898,6 @@ class MeshCoordinator:
         worker may answer a delta request with a base (e.g. it lost the
         parent cursor); that is just an early rebase.
         """
-        size = float(len(json.dumps(doc, separators=(",", ":"))))
         chain = self._checkpoints.get(key)
         if doc.get("kind") == "delta":
             if not chain or chain[-1].get("checkpoint") != doc.get("parent"):
@@ -926,7 +918,7 @@ class MeshCoordinator:
             marks = self._journal.ends()
         while True:
             self._check_failure()
-            snaps: dict[str, dict] = {}
+            snaps: dict[str, tuple[dict, float]] = {}
             try:
                 self._settle(marks)
                 with self._state:
@@ -940,7 +932,12 @@ class MeshCoordinator:
                         raise MeshError(
                             f"malformed snapshot reply from {peer.name!r}"
                         )
-                    snaps[key] = snap
+                    # sized here, not under _state: that lock also
+                    # gates _dispatch
+                    snaps[key] = (
+                        snap,
+                        float(len(json.dumps(snap, separators=(",", ":")))),
+                    )
                     hook = self._test_mid_checkpoint
                     if hook is not None:
                         hook(key)
@@ -951,8 +948,8 @@ class MeshCoordinator:
                 # re-snapshots every shard from a consistent state
                 self._handle_peer_loss(lost.peer)
         with self._state:
-            for key, snap in snaps.items():
-                self._absorb_snapshot(key, snap)
+            for key, (snap, size) in snaps.items():
+                self._absorb_snapshot(key, snap, size)
             stats = self._journal.compact(marks)
         self.registry.counter(
             "mesh.journal.compacted_ops", stats["dropped"]

@@ -256,12 +256,7 @@ def serve_connection(
             except OSError:
                 pass
             return
-        # snapshot replies are float-heavy; bin1 sessions pack them
-        sock.sendall(
-            encode_frame(
-                reply_doc(seq, out), codec=codec, packed=op == "snapshot"
-            )
-        )
+        sock.sendall(encode_frame(reply_doc(seq, out), codec=codec))
 
 
 def run_worker(

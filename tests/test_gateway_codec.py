@@ -8,13 +8,15 @@ Four layers of guarantees:
   sockets lands each session on the expected codec, counts it in the
   server stats, and every cell answers bit-identically (a mixed-codec
   mesh included);
-* **frame fidelity** — the columnar stream fast path is equivalent to
-  the document path byte-for-byte at both levels (object round trip and
-  ``to_wire`` doc), and opts out to ``None`` for any shape it cannot
-  carry exactly;
-* **hostile bytes** — truncation at every boundary, single-byte
-  mutations, junk tags, bad row kinds and version skew always surface
-  as structured :class:`~repro.api.errors.ApiError`, never a raw
+* **frame fidelity** — only the four per-event messages get their own
+  tag, everything else rides embedded JSON; the columnar stream fast
+  path is equivalent to the document path byte-for-byte at both levels
+  (object round trip and ``to_wire`` doc), and opts out to ``None`` for
+  any shape it cannot carry exactly;
+* **hostile bytes** — for a payload of every bin1 tag: truncation at
+  every boundary, trailing bytes, single-byte mutations, junk and
+  retired tags, bad row kinds and version skew always surface as
+  structured :class:`~repro.api.errors.ApiError`, never a raw
   ``struct.error`` — the same taxonomy discipline as the JSON fuzz.
 
 Plus the outbound-framing regression: an oversize *response* answers a
@@ -39,6 +41,7 @@ from repro.api.errors import ApiError, UnsupportedVersion, ValidationFailed
 from repro.api.messages import (
     Batch,
     BatchResult,
+    ErrorInfo,
     Flush,
     Flushed,
     GetReport,
@@ -55,6 +58,7 @@ from repro.gateway.codec import (
     decode_bin1,
     decode_stream_batch,
     decode_stream_result,
+    encode_bin1,
     encode_stream_batch,
     encode_stream_result,
 )
@@ -62,9 +66,14 @@ from repro.gateway.protocol import (
     BIN1_CODEC,
     BIN1_MAGIC,
     BIN1_WIRE_VERSION,
+    GENERIC_TAG,
     JSON_CODEC,
+    REGISTER_WORKER_TAG,
     STREAM_BATCH_TAG,
     STREAM_RESULT_TAG,
+    SUBMIT_TASK_TAG,
+    TASK_DECISION_TAG,
+    WORKER_REGISTERED_TAG,
     codec_feature,
     granted_codec,
     negotiate_codec,
@@ -272,6 +281,68 @@ class TestStreamEquivalence:
 
 
 # --------------------------------------------------------------------- #
+# per-event tags vs the JSON fallback                                    #
+# --------------------------------------------------------------------- #
+
+_PREFIX = struct.Struct(">BBB")
+_DECISION = struct.Struct(">qBq")
+
+#: Every bin1 tag this layout defines.
+BIN1_TAGS = {
+    GENERIC_TAG,
+    REGISTER_WORKER_TAG,
+    SUBMIT_TASK_TAG,
+    STREAM_BATCH_TAG,
+    WORKER_REGISTERED_TAG,
+    TASK_DECISION_TAG,
+    STREAM_RESULT_TAG,
+}
+
+#: Tag bytes an older layout used for flush, get_report, batch,
+#: envelope, flushed, batch_result, envelope_result, error and packed
+#: documents; this layout must refuse every one of them.
+RETIRED_TAGS = (0x03, 0x04, 0x05, 0x06, 0x13, 0x15, 0x16, 0x17, 0x19)
+
+
+def _prefix(tag: int, version: int = BIN1_WIRE_VERSION) -> bytes:
+    return _PREFIX.pack(BIN1_MAGIC, version, tag)
+
+
+@pytest.mark.parametrize(
+    "message, tag",
+    [
+        (RegisterWorker(7, (1.5, -2.25), 0.5), REGISTER_WORKER_TAG),
+        (SubmitTask(3, (0.0, 99.5), 1.0), SUBMIT_TASK_TAG),
+        (WorkerRegistered(7), WORKER_REGISTERED_TAG),
+        (TaskDecision(3, 7), TASK_DECISION_TAG),
+        (TaskDecision(4, None), TASK_DECISION_TAG),
+        (Flush(), GENERIC_TAG),
+        (Flushed(), GENERIC_TAG),
+        (GetReport(wall_seconds=1.5), GENERIC_TAG),
+        (ErrorInfo("invalid-request", "bad", False, "x"), GENERIC_TAG),
+        (Batch([StreamEnvelope(0, Flush())]), GENERIC_TAG),
+        (StreamEnvelope(0, SubmitTask(3, (0.0, 1.0), 1.0)), GENERIC_TAG),
+    ],
+)
+def test_only_per_event_messages_get_their_own_tag(message, tag):
+    doc = to_wire(message)
+    payload = encode_bin1(doc)
+    assert payload[2] == tag
+    assert decode_bin1(payload) == doc
+
+
+def test_unassigned_decision_with_nonzero_worker_is_invalid():
+    # flag 0 means "no worker": the worker field is padding and must be
+    # zero, or two byte strings would decode to one document
+    body = _DECISION.pack(4, 0, 0)
+    assert decode_bin1(_prefix(TASK_DECISION_TAG) + body) == to_wire(
+        TaskDecision(4, None)
+    )
+    with pytest.raises(ValidationFailed):
+        decode_bin1(_prefix(TASK_DECISION_TAG) + _DECISION.pack(4, 0, 5))
+
+
+# --------------------------------------------------------------------- #
 # hostile bytes                                                          #
 # --------------------------------------------------------------------- #
 
@@ -285,12 +356,29 @@ def _structured(decode, payload) -> None:
     # anything else (struct.error, IndexError, hang) propagates and fails
 
 
+def _tag_payloads() -> list[bytes]:
+    """One well-formed payload per bin1 tag (both decision forms)."""
+    payloads = [
+        encode_stream_batch(_stream_batch()),
+        encode_stream_result(_result_batch()),
+    ] + [
+        encode_bin1(to_wire(message))
+        for message in (
+            RegisterWorker(7, (1.5, -2.25), 0.5),
+            SubmitTask(3, (0.0, 99.5), 1.0),
+            WorkerRegistered(7),
+            TaskDecision(3, 7),
+            TaskDecision(4, None),
+            GetReport(wall_seconds=1.5),
+        )
+    ]
+    assert {p[2] for p in payloads} == BIN1_TAGS
+    return payloads
+
+
 class TestStreamFuzz:
     def test_truncation_at_every_boundary(self):
-        for payload in (
-            encode_stream_batch(_stream_batch()),
-            encode_stream_result(_result_batch()),
-        ):
+        for payload in _tag_payloads():
             for cut in range(len(payload)):
                 with pytest.raises(ApiError) as info:
                     decode_bin1(payload[:cut])
@@ -300,24 +388,35 @@ class TestStreamFuzz:
         payload = encode_stream_batch(_stream_batch())
         with pytest.raises(ValidationFailed):
             decode_stream_batch(payload + b"\x00")
+        for payload in _tag_payloads():
+            with pytest.raises(ValidationFailed):
+                decode_bin1(payload + b"\x00")
 
     def test_single_byte_mutations_never_escape_the_taxonomy(self):
         rng = np.random.default_rng(5)
-        base = bytearray(encode_stream_batch(_stream_batch()))
-        for _ in range(400):
-            mutated = bytearray(base)
-            pos = int(rng.integers(len(mutated)))
-            mutated[pos] = int(rng.integers(256))
-            blob = bytes(mutated)
-            _structured(decode_bin1, blob)
-            _structured(decode_stream_batch, blob)
-            _structured(decode_stream_result, blob)
+        for payload in _tag_payloads():
+            base = bytearray(payload)
+            for _ in range(400):
+                mutated = bytearray(base)
+                pos = int(rng.integers(len(mutated)))
+                mutated[pos] = int(rng.integers(256))
+                blob = bytes(mutated)
+                _structured(decode_bin1, blob)
+                _structured(decode_stream_batch, blob)
+                _structured(decode_stream_result, blob)
 
     def test_foreign_layout_version_is_unsupported(self):
         payload = bytearray(encode_stream_batch(_stream_batch()))
         payload[1] = BIN1_WIRE_VERSION + 1
         with pytest.raises(UnsupportedVersion):
             decode_stream_batch(bytes(payload))
+        # the previous layout is as foreign as the next one
+        for version in (BIN1_WIRE_VERSION - 1, BIN1_WIRE_VERSION + 1):
+            for payload in _tag_payloads():
+                skewed = bytearray(payload)
+                skewed[1] = version
+                with pytest.raises(UnsupportedVersion):
+                    decode_bin1(bytes(skewed))
 
     def test_unknown_tag_is_invalid_everywhere(self):
         payload = bytearray(encode_stream_batch(_stream_batch()))
@@ -326,6 +425,13 @@ class TestStreamFuzz:
             decode_bin1(bytes(payload))
         with pytest.raises(ValidationFailed):
             decode_stream_batch(bytes(payload))
+
+    @pytest.mark.parametrize("tag", RETIRED_TAGS)
+    def test_retired_tags_are_invalid_requests(self, tag):
+        for body in (b"", b"\x00" * 8, encode_bin1(to_wire(Flush()))[3:]):
+            with pytest.raises(ValidationFailed) as info:
+                decode_bin1(_prefix(tag) + body)
+            assert info.value.code == "invalid-request"
 
     def test_bad_stream_row_kind_is_invalid(self):
         row = struct.Struct(">Bqqddd").pack(2, 0, 1, 0.0, 0.0, 0.0)
