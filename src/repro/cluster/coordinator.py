@@ -216,7 +216,7 @@ class ClusterCoordinator:
         self._started = True
 
     def close(self) -> None:
-        """Stop all workers and reap the processes."""
+        """Stop all workers, reap the processes and close their queues."""
         for widx, proc in enumerate(self._procs):
             if proc is None:
                 continue
@@ -231,10 +231,21 @@ class ClusterCoordinator:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
+        for cmd_q, proc in zip(self._cmd_qs, self._procs):
+            if cmd_q is None:
+                continue
+            if proc is None or proc.exitcode != 0:
+                # the reader died without draining the queue: joining
+                # could wait on a flush nobody will ever read
+                cmd_q.cancel_join_thread()
+            cmd_q.close()
+            # ends the queue's feeder thread, which would outlive close()
+            cmd_q.join_thread()
         for conn in self._res_conns:
             if conn is not None:
                 conn.close()
         self._procs = [None] * self.n_workers
+        self._cmd_qs = [None] * self.n_workers
         self._res_conns = [None] * self.n_workers
         self._started = False
         self._closed = True

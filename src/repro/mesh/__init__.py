@@ -12,7 +12,7 @@ shard families via :mod:`repro.mesh.protocol` ops.
 The pieces:
 
 * :mod:`~repro.mesh.protocol` — the sans-IO op/reply vocabulary
-  (``repro.mesh`` v1 documents in gateway frames, seq-matched so ops
+  (``repro.mesh`` v2 documents in gateway frames, seq-matched so ops
   pipeline per connection);
 * :mod:`~repro.mesh.worker` — one process: an unchanged cluster
   :class:`~repro.cluster.worker.ShardHost` serving ops FIFO off a

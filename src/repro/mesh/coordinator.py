@@ -28,23 +28,24 @@ What is deliberately *different* from the cluster coordinator:
 * **failover is reassignment, not respawn.** The coordinator does not
   own worker processes; when a connection dies mid-stream the dead
   peer's families are handed to the surviving peer with the lightest
-  load, restored from their last checkpoint snapshots (JSON-pure, they
-  cross the wire unchanged) and replayed from the journal — the same
-  snapshot+replay discipline the cluster proves bit-deterministic.
+  load, restored from their last checkpoint snapshots (JSON texts the
+  coordinator stores and forwards without parsing) and replayed from
+  the journal — the same snapshot+replay discipline the cluster proves
+  bit-deterministic.
   Duplicate task results from the dead peer deduplicate (first write
   wins). A second death during recovery just repeats the handling on
   the next survivor; only losing *every* peer is fatal.
 
 Telemetry rides the existing reservoir machinery
 (:class:`~repro.service.metrics.SampleReservoir`): per-peer dispatch
-depth sampled at every op send, checkpoint snapshot sizes in encoded
-bytes, and checkpoint wall-times, all summarized by :meth:`telemetry`
-together with the scheduler's live per-family queue depths.
+depth sampled at every op send, checkpoint snapshot sizes (the length
+of each document's compact JSON text), and checkpoint wall-times, all
+summarized by :meth:`telemetry` together with the scheduler's live
+per-family queue depths.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -353,7 +354,8 @@ class MeshCoordinator:
         self.ownership: dict[int, str] = {}  # guarded-by: _state, _wake
         self._installed: dict[int, bool] = {}  # guarded-by: _state, _wake
         self._specs: dict[str, dict] = {}  # guarded-by: _state, _wake
-        #: key -> [base doc, delta doc, ...] chain (see cluster.snapshot)
+        #: key -> [base, delta, ...] snapshot replies: the lineage fields
+        #: beside each document's unparsed JSON text (see cluster.snapshot)
         self._checkpoints: dict[str, list[dict]] = {}  # guarded-by: _state, _wake
         self._ckpt_seq = 0  # guarded-by: _state, _wake
         self._results: dict[int, int | None] = {}  # guarded-by: _state, _wake
@@ -830,7 +832,10 @@ class MeshCoordinator:
             ]
         for key, chain in plan:
             if chain is not None:
-                peer.call("load", {"key": key, "snapshots": chain})
+                peer.call(
+                    "load",
+                    {"key": key, "snapshots": [snap["body"] for snap in chain]},
+                )
             else:
                 peer.call("create", {"key": key, "spec": self._specs[key]})
         with self._state:
@@ -888,28 +893,31 @@ class MeshCoordinator:
                 reqs[key] = {"mode": "base", "checkpoint": self._ckpt_seq}
         return reqs
 
-    def _absorb_snapshot(self, key: str, doc: dict, size: float) -> None:  # guarded-by: _state
-        """Chain one barrier reply of ``size`` JSON bytes; the caller
-        holds ``_state``.
+    def _absorb_snapshot(self, key: str, snap: dict) -> None:  # guarded-by: _state
+        """Chain one barrier reply; the caller holds ``_state``.
 
-        A delta appends to the chain (its parent must equal the tip — a
-        mismatch means lineage diverged and restoring would be silently
-        wrong, so fail loud); a base rebases the chain to itself. The
-        worker may answer a delta request with a base (e.g. it lost the
-        parent cursor); that is just an early rebase.
+        ``snap`` is the worker's reply: ``kind``/``checkpoint``/``parent``
+        beside the document's JSON text in ``body``, which is stored as
+        is and sized by its length. A delta appends to the chain (its
+        parent must equal the tip — a mismatch means lineage diverged
+        and restoring would be silently wrong, so fail loud); a base
+        rebases the chain to itself. The worker may answer a delta
+        request with a base (e.g. it lost the parent cursor); that is
+        just an early rebase.
         """
         chain = self._checkpoints.get(key)
-        if doc.get("kind") == "delta":
-            if not chain or chain[-1].get("checkpoint") != doc.get("parent"):
+        size = float(len(snap["body"]))
+        if snap.get("kind") == "delta":
+            if not chain or chain[-1].get("checkpoint") != snap.get("parent"):
                 raise MeshError(
                     f"checkpoint lineage diverged for shard {key!r}"
                 )
-            chain.append(doc)
+            chain.append(snap)
             self._delta_bytes.record(size)
         else:
             if chain is not None:
                 self.registry.counter("mesh.checkpoint.rebase_total")
-            self._checkpoints[key] = [doc]
+            self._checkpoints[key] = [snap]
             self._snapshot_bytes.record(size)
 
     def _checkpoint_job(self) -> None:
@@ -918,7 +926,7 @@ class MeshCoordinator:
             marks = self._journal.ends()
         while True:
             self._check_failure()
-            snaps: dict[str, tuple[dict, float]] = {}
+            snaps: dict[str, dict] = {}
             try:
                 self._settle(marks)
                 with self._state:
@@ -927,17 +935,11 @@ class MeshCoordinator:
                     with self._state:
                         peer = self._peers[self.ownership[family_of(key)]]
                     reply = peer.call("snapshot", {"key": key, **reqs[key]})
-                    snap = reply.get("snapshot")
-                    if not isinstance(snap, dict):
+                    if not isinstance(reply.get("body"), str):
                         raise MeshError(
                             f"malformed snapshot reply from {peer.name!r}"
                         )
-                    # sized here, not under _state: that lock also
-                    # gates _dispatch
-                    snaps[key] = (
-                        snap,
-                        float(len(json.dumps(snap, separators=(",", ":")))),
-                    )
+                    snaps[key] = reply
                     hook = self._test_mid_checkpoint
                     if hook is not None:
                         hook(key)
@@ -948,8 +950,8 @@ class MeshCoordinator:
                 # re-snapshots every shard from a consistent state
                 self._handle_peer_loss(lost.peer)
         with self._state:
-            for key, (snap, size) in snaps.items():
-                self._absorb_snapshot(key, snap, size)
+            for key, snap in snaps.items():
+                self._absorb_snapshot(key, snap)
             stats = self._journal.compact(marks)
         self.registry.counter(
             "mesh.journal.compacted_ops", stats["dropped"]

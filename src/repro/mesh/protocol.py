@@ -5,7 +5,7 @@ sends a :func:`~repro.gateway.protocol.hello_doc` whose feature list
 carries ``role:mesh-worker`` (and, for a rejoining host, its
 ``family:<id>`` advertisements), the coordinator answers a ``welcome``
 granting the role. Everything after the handshake is this schema:
-``repro.mesh`` v1 documents inside the same length-prefixed JSON frames
+``repro.mesh`` v2 documents inside the same length-prefixed JSON frames
 (:func:`~repro.gateway.protocol.encode_frame` /
 :class:`~repro.gateway.protocol.FrameDecoder`), so the mesh reuses the
 gateway's framing, handshake and error taxonomy wholesale instead of
@@ -22,13 +22,12 @@ op             body                        reply body
 ``configure``  ``batch_size``              ``{}``
 ``create``     ``key``, ``spec``           ``{"key": ...}``
 ``load``       ``key``, ``snapshots``      ``{"key": ...}``
-               (chain) *or* ``snapshot``
-               (one base doc)
+               (chain of JSON texts)
 ``drop``       ``key``                     ``{"key": ...}``
 ``events``     ``ops``                     ``{"results": [[tid,wid,key]]}``
-``snapshot``   ``key`` [, ``mode``,        ``{"key": ..., "snapshot": ...}``
-               ``checkpoint``,
-               ``parent``]
+``snapshot``   ``key`` [, ``mode``,        ``{"key", "kind",
+               ``checkpoint``,             "checkpoint", "parent",
+               ``parent``]                 "body"}``
 ``flush``      —                           ``{}``
 ``report``     —                           ``{"report": {key: row}}``
 ``ping``       —                           ``{}``
@@ -39,10 +38,17 @@ The ``snapshot`` extras are the delta-checkpoint protocol: ``mode``
 ``"delta"`` asks for only the cells changed since ``parent`` (the
 worker falls back to a base document when it no longer has that
 cursor), and ``checkpoint`` is the id the produced document carries so
-later deltas can chain onto it. Old coordinators that omit the extras
-get plain base snapshots; old workers that ignore them answer bases the
-coordinator absorbs as rebases — the fields are additive, not a wire
-version bump.
+later deltas can chain onto it. A request without the extras gets a
+plain base snapshot.
+
+The snapshot reply carries the document as ``body``, its compact JSON
+text (``separators=(",", ":")``), beside copies of the document's
+``kind``, ``checkpoint`` and ``parent``. Those three fields are all the
+coordinator reads: it checks lineage on them, stores the text unparsed
+in its chain, records ``len(body)`` as the snapshot size and sends the
+texts back on ``load``, where the worker parses and validates them.
+Versions must match exactly: a peer speaking another version fails its
+first op with ``unsupported-version`` rather than half-work.
 
 Every op carries a ``seq`` the worker echoes in its reply, so a
 coordinator may keep several ops in flight per peer (different shard
@@ -68,9 +74,9 @@ __all__ = [
 ]
 
 MESH_SCHEMA = "repro.mesh"
-MESH_VERSION = 1
+MESH_VERSION = 2
 
-#: Ops a worker serves, the wire-frozen v1 vocabulary.
+#: Ops a worker serves, the wire-frozen vocabulary.
 OP_KINDS = (
     "configure",
     "create",
@@ -137,10 +143,10 @@ def _check_envelope(doc, kinds) -> tuple[str, int, dict]:
             f"foreign mesh schema {schema!r} (this peer speaks {MESH_SCHEMA!r})"
         )
     version = doc.get("version")
-    if not isinstance(version, int) or version < 1 or version > MESH_VERSION:
+    if type(version) is not int or version != MESH_VERSION:
         raise UnsupportedVersion(
-            f"mesh protocol version {version!r} outside supported "
-            f"range 1..{MESH_VERSION}"
+            f"mesh protocol version {version!r} (this peer speaks "
+            f"version {MESH_VERSION})"
         )
     kind = doc.get("kind")
     if kind not in kinds:

@@ -26,13 +26,14 @@ path (snapshot restore + journal replay onto a surviving peer).
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import socket
 import sys
 import time
 
-from ..api.errors import map_exception
+from ..api.errors import ValidationFailed, map_exception
 from ..cluster.worker import ShardHost
 from ..gateway.protocol import (
     BIN1_CODEC,
@@ -189,10 +190,16 @@ def serve_connection(
                 host.create(str(body["key"]), body["spec"])
                 out = {"key": body["key"]}
             elif op == "load":
-                # "snapshots" carries a base+delta chain; "snapshot" the
-                # single-document form older coordinators send
-                docs = body.get("snapshots", body.get("snapshot"))
-                host.load(str(body["key"]), docs)
+                # the chain arrives as the snapshot texts this worker (or
+                # a peer) cut; parsing and validation happen only here
+                texts = body.get("snapshots")
+                if not isinstance(texts, list) or not all(
+                    isinstance(t, str) for t in texts
+                ):
+                    raise ValidationFailed(
+                        "load snapshots must be a list of JSON texts"
+                    )
+                host.load(str(body["key"]), [json.loads(t) for t in texts])
                 out = {"key": body["key"]}
             elif op == "drop":
                 host.drop(str(body["key"]))
@@ -223,14 +230,20 @@ def serve_connection(
                         )
                     ]
             elif op == "snapshot":
+                doc = host.snapshot(
+                    str(body["key"]),
+                    mode=str(body.get("mode", "base")),
+                    checkpoint=body.get("checkpoint"),
+                    parent=body.get("parent"),
+                )
+                # the coordinator only checks lineage and stores the
+                # text, so the document crosses it as one opaque string
                 out = {
                     "key": body["key"],
-                    "snapshot": host.snapshot(
-                        str(body["key"]),
-                        mode=str(body.get("mode", "base")),
-                        checkpoint=body.get("checkpoint"),
-                        parent=body.get("parent"),
-                    ),
+                    "kind": doc["kind"],
+                    "checkpoint": doc["checkpoint"],
+                    "parent": doc.get("parent"),
+                    "body": json.dumps(doc, separators=(",", ":")),
                 }
             elif op == "flush":
                 host.flush()

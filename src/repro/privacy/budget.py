@@ -105,20 +105,25 @@ class PrivacyBudgetLedger:
         # resolve rows up front (allocating for new principals) so the
         # cap check and the apply are both pure array passes
         n_before = len(self._principals)
-        rows = np.fromiter(
-            (self._row_of(p) for p in principals),
-            dtype=np.intp,
-            count=len(principals),
-        )
-        # multiplicity-aware check: a principal repeated within the batch
-        # is charged against its *total* batch spend, not pre-batch state
-        counts = np.bincount(rows, minlength=len(self._principals))
-        would_be = self._balances[: len(self._principals)] + counts * epsilon
+        row_list = [self._row_of(p) for p in principals]
+        rows = np.array(row_list, dtype=np.intp)
+        # the check touches the batch's own rows only, so its cost does
+        # not grow with the ledger; it is multiplicity-aware: a principal
+        # repeated within the batch is charged its *total* batch spend.
+        # np.unique runs only on repeats: on the 1-8 row cohorts a stream
+        # mostly sends it costs more than the rest of the check
+        if len(set(row_list)) == len(row_list):
+            uniq, counts = rows, np.ones(len(rows), dtype=np.intp)
+        else:
+            uniq, counts = np.unique(rows, return_counts=True)
+        would_be = self._balances[uniq] + counts * epsilon
         over = np.flatnonzero(would_be > self.capacity + 1e-12)
         if over.size:
-            row = int(over[0])
+            # report the lowest offending row, the ledger's first
+            at = over[np.argmin(uniq[over])]
+            row = int(uniq[at])
             p = self._principals[row]
-            k = int(counts[row])
+            k = int(counts[at])
             # all-or-nothing includes the row table: principals first seen
             # in a rejected batch must not linger as zero-balance rows
             for stray in self._principals[n_before:]:

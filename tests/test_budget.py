@@ -1,6 +1,10 @@
 """Tests for repro.privacy.budget: sequential composition accounting."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.privacy import BudgetExceededError, PrivacyBudgetLedger
 
@@ -123,3 +127,81 @@ class TestWithMechanism:
             reports += 1
         assert reports == 3  # floor(1.0 / 0.3)
         assert ledger.remaining("worker-7") == pytest.approx(0.1)
+
+
+def _reference_spend_batch(balances: dict, capacity, principals, epsilon):
+    """The whole-ledger cap check the array ledger must match bit for bit.
+
+    ``balances`` maps principal -> spent in row order (first spend first).
+    Every known principal is checked, lowest row first, against its total
+    spend in the batch; the apply adds ``epsilon`` once per occurrence.
+    Returns the rejection message, or ``None`` after applying the batch.
+    """
+    counts = Counter(principals)
+    rows = list(balances) + [p for p in dict.fromkeys(principals) if p not in balances]
+    for p in rows:
+        spent = balances.get(p, 0.0)
+        if spent + counts[p] * epsilon > capacity + 1e-12:
+            return (
+                f"principal {p!r} has {capacity - spent:.3f} of "
+                f"{capacity} left; cannot spend {counts[p]} x "
+                f"{epsilon} (batch of {len(principals)} rejected)"
+            )
+    for p in principals:
+        balances[p] = balances.get(p, 0.0) + epsilon
+    return None
+
+
+class TestSpendBatch:
+    def test_repeated_principal_at_the_cap_boundary(self):
+        ledger = PrivacyBudgetLedger(1.0)
+        # four repeats land exactly on the cap: allowed
+        ledger.spend_batch(["u", "v", "u", "u", "u"], 0.25)
+        assert ledger.spent("u") == 1.0
+        assert ledger.remaining("v") == 0.75
+        with pytest.raises(BudgetExceededError, match=r"'u' has 0\.000 .* 1 x 0\.25"):
+            ledger.spend_batch(["w", "u"], 0.25)
+        # one repeat too many: the total, not each occurrence, is checked
+        with pytest.raises(BudgetExceededError, match=r"'v' .* 4 x 0\.25 \(batch of 5"):
+            ledger.spend_batch(["v", "w", "v", "v", "v"], 0.25)
+        ledger.spend_batch(["v", "w", "v", "v"], 0.25)
+        assert ledger.spent("v") == 1.0
+        assert ledger.principals == 3
+
+    def test_rejection_names_the_lowest_offending_row(self):
+        ledger = PrivacyBudgetLedger(1.0)
+        ledger.spend("x", 0.9)
+        ledger.spend("y", 0.9)
+        with pytest.raises(BudgetExceededError, match="^principal 'x'"):
+            ledger.spend_batch(["new", "y", "x"], 0.5)
+        # all-or-nothing: the rejected batch left no row behind
+        assert ledger.principals == 2
+        assert ledger.to_dict()["spent"] == [["x", 0.9], ["y", 0.9]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+                st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_the_whole_ledger_check(self, batches):
+        ledger = PrivacyBudgetLedger(1.0)
+        balances: dict = {}
+        history: list = []
+        for principals, epsilon in batches:
+            expected = _reference_spend_batch(balances, 1.0, principals, epsilon)
+            if expected is None:
+                ledger.spend_batch(principals, epsilon)
+                history += [(p, epsilon) for p in principals]
+            else:
+                with pytest.raises(BudgetExceededError) as err:
+                    ledger.spend_batch(principals, epsilon)
+                assert str(err.value) == expected
+        # same rows in the same order, same floats bit for bit
+        assert ledger.to_dict()["spent"] == [[p, v] for p, v in balances.items()]
+        assert ledger.history == history

@@ -8,9 +8,11 @@ even a second kill during the recovery itself — the assignments must
 stay bit-identical to the single-process sharded engine.
 """
 
+import json
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -29,6 +31,7 @@ from repro.gateway.protocol import (
     MESH_WORKER_ROLE,
     FrameDecoder,
     encode_frame,
+    goodbye_doc,
     hello_doc,
     role_feature,
 )
@@ -37,13 +40,17 @@ from repro.mesh import (
     MESH_SCHEMA,
     MESH_VERSION,
     MeshCoordinator,
+    MeshError,
     OP_KINDS,
     fail_doc,
     op_doc,
     parse_op,
     parse_reply,
     reply_doc,
+    serve_connection,
+    spawn_local_worker,
 )
+from repro.mesh.coordinator import MeshPeer
 from repro.service.events import TaskArrival, WorkerArrival
 from repro.service.sharding import ShardMap
 
@@ -90,19 +97,32 @@ class TestMeshProtocol:
              "seq": 0, "body": {}},
             {"schema": MESH_SCHEMA, "version": 99, "kind": "ping",
              "seq": 0, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "levitate",
-             "seq": 0, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": MESH_VERSION,
+             "kind": "levitate", "seq": 0, "body": {}},
+            {"schema": MESH_SCHEMA, "version": MESH_VERSION, "kind": "ping",
              "seq": -4, "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": MESH_VERSION, "kind": "ping",
              "seq": "zero", "body": {}},
-            {"schema": MESH_SCHEMA, "version": 1, "kind": "ping",
+            {"schema": MESH_SCHEMA, "version": MESH_VERSION, "kind": "ping",
              "seq": 0, "body": []},
         ]
         for doc in cases:
             with pytest.raises(ApiError) as err:
                 parse_op(doc)
             assert err.value.code in ("invalid-request", "unsupported-version")
+
+    def test_version_1_documents_are_unsupported(self):
+        # v1 replied with parsed snapshot documents; a v1 peer must fail
+        # its first op, never half-work against the text-body shape
+        for parse, doc in (
+            (parse_op, op_doc("ping", 0)),
+            (parse_reply, reply_doc(0)),
+            (parse_reply, fail_doc(0, "rejected", "nope")),
+        ):
+            doc["version"] = 1
+            with pytest.raises(ApiError) as err:
+                parse(doc)
+            assert err.value.code == "unsupported-version"
 
     def test_reply_parser_rejects_op_kinds(self):
         with pytest.raises(ApiError):
@@ -335,6 +355,260 @@ def _run_with_hook(backend, requests, arm, kill_first=None):
 
 
 # --------------------------------------------------------------------- #
+# opaque snapshot bodies                                                 #
+# --------------------------------------------------------------------- #
+
+
+class _LoopbackWorker:
+    """A worker op loop on one end of a socketpair, driven op by op."""
+
+    def __init__(self) -> None:
+        self.sock, theirs = socket.socketpair()
+        self.decoder = FrameDecoder()
+        self.seq = 0
+        self.thread = threading.Thread(
+            target=self._serve, args=(theirs,), daemon=True
+        )
+        self.thread.start()
+
+    @staticmethod
+    def _serve(sock) -> None:
+        try:
+            serve_connection(sock, FrameDecoder())
+        finally:
+            sock.close()
+
+    def send(self, doc) -> dict:
+        """One frame out, the worker's raw answer document back."""
+        self.sock.sendall(encode_frame(doc))
+        frames: list = []
+        while not frames:
+            data = self.sock.recv(65536)
+            assert data, "worker closed without answering"
+            frames = self.decoder.feed(data)
+        return frames[0]
+
+    def call(self, op: str, body: dict | None = None) -> dict:
+        self.seq += 1
+        kind, seq, reply = parse_reply(self.send(op_doc(op, self.seq, body)))
+        assert (kind, seq) == ("reply", self.seq), reply
+        return reply
+
+    def close(self) -> None:
+        try:
+            self.sock.sendall(encode_frame(goodbye_doc("test done")))
+        except OSError:
+            pass
+        self.thread.join(timeout=5.0)
+        self.sock.close()
+        assert not self.thread.is_alive()
+
+
+SHARD_SPEC = {
+    "box": [0.0, 0.0, 100.0, 100.0],
+    "grid_nx": 6,
+    "epsilon": 0.5,
+    "budget_capacity": 2.0,
+    "seed": 3,
+}
+
+
+@pytest.fixture()
+def loopback_worker():
+    worker = _LoopbackWorker()
+    yield worker
+    worker.close()
+
+
+def _feed(worker, first_id: int, n: int = 4) -> None:
+    ids = list(range(first_id, first_id + n))
+    locs = [[10.0 + 7.0 * i, 20.0 + 5.0 * i] for i in range(n)]
+    worker.call("events", {"ops": [["w", "s0", ids, locs]]})
+
+
+def _assert_side_fields_match_body(reply: dict) -> dict:
+    assert isinstance(reply["body"], str)
+    doc = json.loads(reply["body"])
+    assert reply["kind"] == doc["kind"]
+    assert reply["checkpoint"] == doc["checkpoint"]
+    assert reply["parent"] == doc.get("parent")
+    # the compact text the coordinator sizes by its length
+    assert reply["body"] == json.dumps(doc, separators=(",", ":"))
+    return doc
+
+
+class TestOpaqueSnapshotReplies:
+    def test_side_fields_equal_the_body_for_base_delta_and_fallback(
+        self, loopback_worker
+    ):
+        w = loopback_worker
+        w.call("configure", {"batch_size": 2})
+        w.call("create", {"key": "s0", "spec": SHARD_SPEC})
+        _feed(w, 0)
+        base = w.call("snapshot", {"key": "s0", "mode": "base", "checkpoint": 1})
+        assert base["key"] == "s0"
+        assert _assert_side_fields_match_body(base)["kind"] == "base"
+        assert base["parent"] is None
+        _feed(w, 10)
+        delta = w.call(
+            "snapshot",
+            {"key": "s0", "mode": "delta", "checkpoint": 2, "parent": 1},
+        )
+        assert _assert_side_fields_match_body(delta)["kind"] == "delta"
+        assert (delta["checkpoint"], delta["parent"]) == (2, 1)
+        # a parent this worker never cut: the delta request gets a base
+        fallback = w.call(
+            "snapshot",
+            {"key": "s0", "mode": "delta", "checkpoint": 3, "parent": 99},
+        )
+        assert _assert_side_fields_match_body(fallback)["kind"] == "base"
+        assert (fallback["checkpoint"], fallback["parent"]) == (3, None)
+
+    def test_load_restores_a_chain_of_texts(self, loopback_worker):
+        w = loopback_worker
+        w.call("configure", {"batch_size": 2})
+        w.call("create", {"key": "s0", "spec": SHARD_SPEC})
+        _feed(w, 0)
+        base = w.call("snapshot", {"key": "s0", "checkpoint": 1})
+        _feed(w, 10)
+        delta = w.call(
+            "snapshot",
+            {"key": "s0", "mode": "delta", "checkpoint": 2, "parent": 1},
+        )
+        before = w.call("report")["report"]["s0"]
+        w.call("drop", {"key": "s0"})
+        w.call("load", {"key": "s0", "snapshots": [base["body"], delta["body"]]})
+        assert w.call("report")["report"]["s0"] == before
+        # the restored tip answers deltas against the chain's last id
+        again = w.call(
+            "snapshot",
+            {"key": "s0", "mode": "delta", "checkpoint": 3, "parent": 2},
+        )
+        assert again["kind"] == "delta"
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            # the retired single-document form
+            {"key": "s0", "snapshot": "{}"},
+            # parsed documents instead of texts
+            {"key": "s0", "snapshots": [{"kind": "base"}]},
+        ],
+    )
+    def test_load_refuses_anything_but_a_list_of_texts(
+        self, loopback_worker, load
+    ):
+        w = loopback_worker
+        w.call("configure", {"batch_size": 2})
+        w.seq += 1
+        kind, seq, body = parse_reply(w.send(op_doc("load", w.seq, load)))
+        assert (kind, seq) == ("fail", w.seq)
+        assert body["code"] == "invalid-request"
+
+    def test_version_1_op_fails_unsupported_version(self, loopback_worker):
+        doc = op_doc("ping", 1)
+        doc["version"] = 1
+        # the envelope failed before its seq was read, so the answer is
+        # the raw fail document (seq -1), not a parseable reply
+        answer = loopback_worker.send(doc)
+        assert answer["kind"] == "fail"
+        assert answer["body"]["code"] == "unsupported-version"
+        # a failed op ends the worker: an old peer never half-works
+        loopback_worker.thread.join(timeout=5.0)
+        assert not loopback_worker.thread.is_alive()
+
+
+def _reply(kind: str, checkpoint: int, parent=None, body: str = "{}") -> dict:
+    return {
+        "key": "s0",
+        "kind": kind,
+        "checkpoint": checkpoint,
+        "parent": parent,
+        "body": body,
+    }
+
+
+class TestCoordinatorSnapshotChains:
+    @pytest.fixture()
+    def coordinator(self):
+        coordinator = MeshCoordinator(REGION, shards=(2, 2), expected_workers=1)
+        yield coordinator
+        coordinator.close()
+
+    def test_delta_off_the_tip_is_a_lineage_divergence(self, coordinator):
+        with coordinator._state:
+            coordinator._absorb_snapshot("s0", _reply("base", 1, body="ab"))
+            coordinator._absorb_snapshot("s0", _reply("delta", 2, 1, "c"))
+            with pytest.raises(MeshError, match="lineage diverged"):
+                coordinator._absorb_snapshot("s0", _reply("delta", 4, 1))
+            with pytest.raises(MeshError, match="lineage diverged"):
+                coordinator._absorb_snapshot("s1", _reply("delta", 5, 4))
+            chain = coordinator._checkpoints["s0"]
+        # the chain keeps the texts unparsed; sizes are their lengths
+        assert [snap["body"] for snap in chain] == ["ab", "c"]
+        telemetry = coordinator.telemetry()
+        assert telemetry["snapshot_bytes"]["mean"] == 2.0
+        hists = coordinator.registry.snapshot()["histograms"]
+        assert hists["mesh.checkpoint.delta_bytes"]["mean"] == 1.0
+
+    def test_reply_without_a_text_body_is_malformed(self, monkeypatch):
+        real_call = MeshPeer.call
+
+        def v1_shaped(peer, op, body):
+            reply = real_call(peer, op, body)
+            if op == "snapshot":
+                # what a v1 worker answered: the parsed document
+                return {"key": reply["key"], "snapshot": json.loads(reply["body"])}
+            return reply
+
+        monkeypatch.setattr(MeshPeer, "call", v1_shaped)
+        coordinator = MeshCoordinator(
+            REGION, shards=(2, 2), expected_workers=1, checkpoint_every=0
+        )
+        proc = spawn_local_worker(coordinator.listen(), name="v1-shaped")
+        try:
+            coordinator.start()
+            with pytest.raises(MeshError, match="malformed snapshot reply"):
+                coordinator.checkpoint()
+        finally:
+            coordinator.close()
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+
+    def test_snapshot_bytes_are_the_compact_json_lengths(self, monkeypatch):
+        sizes: dict[str, list[int]] = {"base": [], "delta": []}
+        real_call = MeshPeer.call
+
+        def recording(peer, op, body):
+            reply = real_call(peer, op, body)
+            if op == "snapshot":
+                doc = json.loads(reply["body"])
+                sizes[doc["kind"]].append(
+                    len(json.dumps(doc, separators=(",", ":")))
+                )
+            return reply
+
+        monkeypatch.setattr(MeshPeer, "call", recording)
+        spec = spec_for((2, 2))
+        stream = build_conformance_stream(REGION, 40, 30, seed=3)
+        backend = make_backend(
+            "mesh", spec, n_peers=2, chunk_size=13, checkpoint_every=16
+        )
+        run_backend(backend, stream, window=16)
+        telemetry = backend.coordinator.telemetry()
+        hists = backend.coordinator.registry.snapshot()["histograms"]
+        assert sizes["base"] and sizes["delta"], "no base+delta chain was cut"
+        bases = telemetry["snapshot_bytes"]
+        assert bases["count"] == len(sizes["base"])
+        assert bases["mean"] == sum(sizes["base"]) / len(sizes["base"])
+        deltas = hists["mesh.checkpoint.delta_bytes"]
+        assert deltas["count"] == len(sizes["delta"])
+        assert deltas["mean"] == sum(sizes["delta"]) / len(sizes["delta"])
+
+
+# --------------------------------------------------------------------- #
 # coordinator handshake discipline                                       #
 # --------------------------------------------------------------------- #
 
@@ -386,8 +660,6 @@ class TestCoordinatorHandshake:
         _exchange_hello(coordinator.address, {"schema": None})
         assert coordinator.rejected_handshakes == 2
         # a real worker can still join after the junk
-        from repro.mesh import spawn_local_worker
-
         proc = spawn_local_worker(coordinator.address, name="late-worker")
         try:
             deadline = time.monotonic() + 10.0
@@ -409,8 +681,6 @@ class TestCoordinatorTeardown:
     def test_close_is_prompt_after_a_peer_joined(self):
         """Once a peer has been accepted the acceptor is blocked in
         accept() again; close() must wake it, not wait out its join."""
-        from repro.mesh import spawn_local_worker
-
         coordinator = MeshCoordinator(REGION, shards=(2, 2), expected_workers=1)
         proc = spawn_local_worker(coordinator.listen(), name="teardown-worker")
         try:
